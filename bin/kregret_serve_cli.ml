@@ -52,20 +52,9 @@ let frame_of_command = function
             ("name", Serve.Json.Str name);
             ("path", Serve.Json.Str path);
           ])
-  | [ "load"; name; path; third ] -> (
-      (* an integer third word is a shard count, a non-integer float is an
-         ε-kernel approximation bound *)
-      match (int_of_string_opt third, float_of_string_opt third) with
-      | Some s, _ ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str "load");
-                ("name", Serve.Json.Str name);
-                ("path", Serve.Json.Str path);
-                ("shards", Serve.Json.int s);
-              ])
-      | None, Some e ->
+  | [ "load"; name; path; eps ] -> (
+      match float_of_string_opt eps with
+      | Some e ->
           Ok
             (`Send
               [
@@ -74,27 +63,7 @@ let frame_of_command = function
                 ("path", Serve.Json.Str path);
                 ("approx", Serve.Json.Num e);
               ])
-      | None, None ->
-          Error
-            (Printf.sprintf
-               "load: expected an integer SHARDS or a float EPS, got %S" third))
-  | [ "load"; name; path; shards; eps ] -> (
-      match (int_of_string_opt shards, float_of_string_opt eps) with
-      | Some s, Some e ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str "load");
-                ("name", Serve.Json.Str name);
-                ("path", Serve.Json.Str path);
-                ("shards", Serve.Json.int s);
-                ("approx", Serve.Json.Num e);
-              ])
-      | None, _ ->
-          Error
-            (Printf.sprintf "load: SHARDS must be an integer, got %S" shards)
-      | _, None ->
-          Error (Printf.sprintf "load: EPS must be a float, got %S" eps))
+      | None -> Error (Printf.sprintf "load: EPS must be a float, got %S" eps))
   | [ "wait"; name ] -> Ok (`Wait name)
   | [ "flush"; name ] ->
       Ok
@@ -144,7 +113,7 @@ let frame_of_command = function
       Error
         (Printf.sprintf
            "unknown command %S (expected: ping | list | stats | shutdown | \
-            evict [NAME] | load NAME PATH [SHARDS] [EPS] | query NAME K | \
+            evict [NAME] | load NAME PATH [EPS] | query NAME K | \
             mrr NAME K | rank_regret NAME K | insert NAME P1,P2,.. | \
             delete NAME ID | flush NAME | wait NAME, or a raw JSON frame)"
            (String.concat " " cmd))
@@ -163,16 +132,11 @@ let rec group_commands = function
         | "query" | "mrr" | "rank_regret" -> Ok 2
         | "insert" | "delete" -> Ok 2
         | "load" ->
-            (* NAME PATH plus a greedy optional SHARDS (integer) and/or EPS
-               (float) — paths are never bare numbers in practice *)
+            (* NAME PATH plus a greedy optional numeric EPS — paths are never
+               bare numbers in practice *)
             Ok
               (match rest with
-              | _ :: _ :: third :: fourth :: _
-                when int_of_string_opt third <> None
-                     && float_of_string_opt fourth <> None ->
-                  4
-              | _ :: _ :: third :: _ when float_of_string_opt third <> None ->
-                  3
+              | _ :: _ :: eps :: _ when float_of_string_opt eps <> None -> 3
               | _ -> 2)
         | "evict" ->
             (* greedy 1-arg unless the next word is a verb or raw frame *)
@@ -268,8 +232,27 @@ let parse_preload spec =
       Ok (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
   | _ -> Error (Printf.sprintf "--preload expects NAME=PATH, got %S" spec)
 
+(* SIGINT/SIGTERM are blocked in every thread (the mask is set before the
+   first thread starts, and threads inherit it) and taken synchronously by
+   one dedicated waiter. An OCaml signal handler would only run when some
+   thread next polls the runtime, and an idle server has none: the main
+   thread sits in [Thread.join] and the IO thread in a timeout-less
+   [select]. *)
+let stop_signals = [ Sys.sigint; Sys.sigterm ]
+
+let block_stop_signals () =
+  ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals)
+
+let stop_on_signal server =
+  ignore
+    (Thread.create
+       (fun () ->
+         ignore (Thread.wait_signal stop_signals);
+         Serve.Server.signal_stop server)
+       ())
+
 let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
-    ~shards ~approx ~preload ~quiet () =
+    ~approx ~preload ~quiet () =
   let preloads =
     List.map
       (fun spec ->
@@ -282,23 +265,20 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
   in
   let config =
     Serve.Server.config ~cache_capacity:cache_size ~max_line ~retry_after
-      ?max_length:max_k ~workers ~shards ~approx ~listeners ()
+      ?max_length:max_k ~workers ~approx ~listeners ()
   in
+  block_stop_signals ();
   match Serve.Server.start config with
   | Error m ->
       Fmt.epr "kregret_serve: cannot bind %s@." m;
       1
   | Ok server ->
-      let stop _ = Serve.Server.signal_stop server in
-      (try Sys.set_signal Sys.sigint (Sys.Signal_handle stop)
-       with Invalid_argument _ | Sys_error _ -> ());
-      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
-       with Invalid_argument _ | Sys_error _ -> ());
+      stop_on_signal server;
       let registry = Serve.Server.registry server in
       let preload_failed = ref false in
       List.iter
         (fun (name, path) ->
-          match Serve.Registry.load ~shards ~approx registry ~name ~path with
+          match Serve.Registry.load ~approx registry ~name ~path with
           | Ok _ -> if not quiet then Fmt.epr "preloading %s (%s)@." name path
           | Error m ->
               preload_failed := true;
@@ -324,7 +304,7 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
 (* ---- cmdliner ------------------------------------------------------------ *)
 
 let run client socket listen connect timeout cache_size max_line retry_after
-    max_k workers shards approx preload jobs quiet obs commands =
+    max_k workers approx preload jobs quiet obs commands =
   with_obs obs @@ fun () ->
   Pool.set_jobs jobs;
   let parse_endpoint spec =
@@ -352,7 +332,7 @@ let run client socket listen connect timeout cache_size max_line retry_after
       | specs -> List.map parse_endpoint specs
     in
     run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
-      ~shards ~approx ~preload ~quiet ()
+      ~approx ~preload ~quiet ()
 
 let socket_arg =
   Arg.(
@@ -387,16 +367,6 @@ let workers_arg =
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
         ~doc:"Request-handler threads behind the event-driven IO loop.")
-
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Default shard count for dataset loads: with $(docv) > 1 each load \
-           scatter-gathers the build across $(docv) contiguous partitions \
-           (answers stay bit-identical; sharded datasets are static). A \
-           per-load $(i,shards) field on the wire overrides this.")
 
 let approx_arg =
   Arg.(
@@ -506,13 +476,11 @@ let commands_arg =
     & info [] ~docv:"COMMAND"
         ~doc:
           "Client-mode commands: $(b,ping), $(b,list), $(b,stats), \
-           $(b,shutdown), $(b,evict) [NAME], $(b,load) NAME PATH [SHARDS] \
-           [EPS], $(b,query) \
-           NAME K, $(b,mrr) NAME K, $(b,rank_regret) NAME K, $(b,insert) \
-           NAME P1,P2,.., $(b,delete) \
-           NAME ID, $(b,flush) NAME, $(b,wait) NAME, or a raw JSON frame \
-           (anything starting with '{'). A bare numeric third word after \
-           $(b,load) is SHARDS when an integer, EPS when a float.")
+           $(b,shutdown), $(b,evict) [NAME], $(b,load) NAME PATH [EPS], \
+           $(b,query) NAME K, $(b,mrr) NAME K, $(b,rank_regret) NAME K, \
+           $(b,insert) NAME P1,P2,.., $(b,delete) NAME ID, $(b,flush) NAME, \
+           $(b,wait) NAME, or a raw JSON frame (anything starting with \
+           '{'). A bare number after $(b,load) NAME PATH is EPS.")
 
 let cmd =
   let doc = "serve k-regret queries from precomputed StoredLists" in
@@ -537,11 +505,10 @@ let cmd =
          JSON object per line over a stream socket (kregret-serve/v1): any \
          mix of Unix-domain and TCP listeners via repeated $(b,--listen), \
          multiplexed by one event-driven IO thread with a $(b,--workers) \
-         handler pool. Loads with $(i,shards) > 1 build through the \
-         scatter-gather shard tier (lib/serve/shard.mli) — identical \
-         answers, static datasets. Loads with $(i,approx) = ε > 0 reduce the \
-         data to an ε-kernel first (lib/approx/kernel.mli): much faster \
-         builds, answers carry a certified additive regret bound, and exact \
+         handler pool. Loads with $(i,approx) = ε > 0 reduce the data to an \
+         ε-kernel first (lib/approx/kernel.mli): much faster builds, \
+         answers carry a certified additive regret bound, approximate \
+         datasets are static, and exact \
          and approximate answers for the same file never share a cache \
          entry.";
       `S Manpage.s_examples;
@@ -560,7 +527,7 @@ let cmd =
     Term.(
       const run $ client_arg $ socket_arg $ listen_arg $ connect_arg
       $ timeout_arg $ cache_arg $ max_line_arg $ retry_after_arg $ max_k_arg
-      $ workers_arg $ shards_arg $ approx_arg $ preload_arg $ jobs_arg
+      $ workers_arg $ approx_arg $ preload_arg $ jobs_arg
       $ quiet_arg $ obs_term $ commands_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,9 +1,9 @@
 (** The offline approximate pipeline: ε-kernel reduction ({!Kernel}),
     then the exact skyline → happy → StoredList chain over the kernel
-    rows only. This is the reference composition that the CLI, the bench
-    driver and the serve tier (via {!Kregret_serve.Shard} with [approx])
-    all reproduce bit for bit — [Kregret_check.Approx_oracle] pins the
-    equivalences. *)
+    rows only. The CLI, the bench driver and the serve tier's approx
+    backend ({!Kregret_serve.Registry}) all run this composition, so
+    their answers agree bit for bit — [Kregret_check.Approx_oracle] and
+    the serve tests pin the equivalences. *)
 
 type t = {
   reduction : Kernel.result;
@@ -31,8 +31,7 @@ val run :
 val query : t -> k:int -> int list * float
 
 (** [mrr_at t ~k] — the stored (kernel-relative) mrr of the size-[k]
-    prefix; [0.] when nothing is stored (matching
-    {!Kregret_serve.Shard.mrr_at} on an empty list). *)
+    prefix; [0.] when nothing is stored. *)
 val mrr_at : t -> k:int -> float
 
 val stored_length : t -> int

@@ -27,9 +27,6 @@
       and an oversubscribed width past
       [Domain.recommended_domain_count ()] (exercising the pool's
       oversubscription cap).
-    - [approx-shards] — {!Kregret_serve.Shard.create} with [~approx] at
-      shards {1, 2, 4} answers bit-identically (ids and mrr bits, every
-      k) to the offline {!Kregret_approx.Pipeline}.
 
     ε is chosen per dimension: the finest grid whose net stays within a
     ~1k-direction budget (never coarser than ε = 1 permits). *)

@@ -1,6 +1,5 @@
 module Vector = Kregret_geom.Vector
 module Matrix = Kregret_geom.Matrix
-module Hyperplane = Kregret_geom.Hyperplane
 
 type facet = { normal : Vector.t; offset : float; vertices : int array }
 

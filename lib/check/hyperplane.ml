@@ -1,3 +1,6 @@
+module Vector = Kregret_geom.Vector
+module Matrix = Kregret_geom.Matrix
+
 type t = { normal : Vector.t; offset : float }
 type side = Below | On | Above
 

@@ -7,6 +7,8 @@
     The [side] tests mirror the paper's "above / on / below" vocabulary
     (Section III-B). *)
 
+module Vector = Kregret_geom.Vector
+
 type t = { normal : Vector.t; offset : float }
 
 type side =

@@ -1,3 +1,5 @@
+module Vector = Kregret_geom.Vector
+
 let corner_count d =
   if d < 0 || d > 20 then invalid_arg "Orthotope.corner_count: d out of range";
   1 lsl d

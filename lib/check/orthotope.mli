@@ -8,6 +8,8 @@
     literal corner enumeration, used by tests to validate the downward-closure
     equivalence and by the 2-D reference hull. *)
 
+module Vector = Kregret_geom.Vector
+
 (** [corners p] enumerates [Orth(p)] — all [2^d] points obtained by zeroing
     subsets of coordinates of [p]. Order: corner [m] (for mask [m] in
     [0 .. 2^d-1]) keeps coordinate [i] iff bit [i] of [m] is set; corner 0 is

@@ -36,9 +36,6 @@
     - [rrr-jobs] — order, every certified interval and every witness are
       bit-identical at jobs 1, [jobs_hi], and an oversubscribed width
       past [Domain.recommended_domain_count ()].
-    - [rrr-shards] — {!Kregret_serve.Shard.rank_regret} at shards
-      {1, 2, 4} answers bit-identically to the monolithic engine (the
-      shard-merged skyline candidates are the monolithic ones).
     - [rrr-serve] — a live server's [rank_regret] verb answers over the
       wire with the offline engine's exact bits.
 

@@ -1,6 +1,6 @@
 (** Last-write-wins float gauges for point-in-time values (pool width,
     candidate-set sizes, polytope bound). Set them from the orchestrating
-    domain only — unlike {!Counter} there is no per-domain sharding, so a
+    domain only — unlike {!Counter} there are no per-domain cells, so a
     gauge written from inside a parallel region would race. *)
 
 type t

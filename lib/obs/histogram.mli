@@ -1,4 +1,4 @@
-(** Cumulative-style histograms with per-domain cells (same sharding scheme
+(** Cumulative-style histograms with per-domain cells (the same scheme
     as {!Counter}). Bucket counts are integers and merge exactly; the
     floating-point [sum] is merged in cell-registration order, so unlike
     counters it is {e not} covered by the cross-width bit-identity contract

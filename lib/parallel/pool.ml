@@ -56,7 +56,17 @@
      are bit-identical to the uncapped pool. [jobs t] keeps reporting the
      requested width; nested-region rejection also keys on the requested
      width, so code that is wrong on a multicore box fails on a capped
-     box too. *)
+     box too.
+
+   - Concurrent callers. The pool runs one region at a time. A region
+     entered by a thread while another thread's region holds the pool
+     runs inline on the entering thread — the same chunks in the same
+     order as the capped inline path, so results stay bit-identical. A
+     region entered from inside a running body is misuse and raises:
+     bodies run either on a worker domain (tagged domain-locally) or on
+     a thread already listed in [active], so nesting is keyed on the
+     entering thread: a second thread's region is concurrent, not
+     nested. *)
 
 module Obs = Kregret_obs
 
@@ -112,7 +122,13 @@ type job = {
   mutable failure : (exn * Printexc.raw_backtrace) option; (* under mutex *)
 }
 
+(* on a worker domain, the id of the pool it serves: any region of that
+   pool a body there enters is nested *)
+let worker_of : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+let next_id = Atomic.make 0
+
 type t = {
+  id : int; (* unique per pool, for [worker_of] *)
   jobs : int; (* requested width (the API-visible value) *)
   width : int; (* participating domains: 1 + spawned workers, <= cores *)
   mutex : Mutex.t;
@@ -122,7 +138,9 @@ type t = {
   mutable current : job option; (* under mutex *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
-  busy : bool Atomic.t; (* a region is executing: rejects nesting *)
+  mutable active : (int * int) list;
+      (* (domain, thread) ids inside a guarded region; under mutex *)
+  mutable owned : bool; (* a region is running on the workers; under mutex *)
 }
 
 let jobs t = t.jobs
@@ -168,6 +186,7 @@ let create ~jobs =
   let width = min jobs (max 1 (Domain.recommended_domain_count ())) in
   let t =
     {
+      id = Atomic.fetch_and_add next_id 1;
       jobs;
       width;
       mutex = Mutex.create ();
@@ -177,11 +196,15 @@ let create ~jobs =
       current = None;
       stop = false;
       workers = [];
-      busy = Atomic.make false;
+      active = [];
+      owned = false;
     }
   in
   t.workers <-
-    List.init (width - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
+    List.init (width - 1) (fun _ ->
+        Domain.spawn (fun () ->
+            Domain.DLS.set worker_of t.id;
+            worker_loop t 0));
   Obs.Gauge.set_int g_width width;
   t
 
@@ -195,6 +218,32 @@ let shutdown t =
     List.iter Domain.join t.workers;
     t.workers <- []
   end
+
+let nested () = invalid_arg "Kregret_parallel.Pool: nested parallel region"
+
+(* Enter a guarded region on the calling thread: raise if it is nested
+   (the thread is a worker or already inside a region of this pool), else
+   register the thread and say whether it got the workers ([true]) or must
+   run inline because another thread's region holds them ([false]). *)
+let enter t ~want_workers =
+  if Domain.DLS.get worker_of = t.id then nested ();
+  let me = ((Domain.self () :> int), Thread.id (Thread.self ())) in
+  Mutex.lock t.mutex;
+  if List.mem me t.active then begin
+    Mutex.unlock t.mutex;
+    nested ()
+  end;
+  t.active <- me :: t.active;
+  let got = want_workers && not t.owned in
+  if got then t.owned <- true;
+  Mutex.unlock t.mutex;
+  (me, got)
+
+let leave t (me, got) =
+  Mutex.lock t.mutex;
+  t.active <- List.filter (fun id -> id <> me) t.active;
+  if got then t.owned <- false;
+  Mutex.unlock t.mutex
 
 (* Execute [body c] for every chunk index c in [0, chunks) on the pool.
    The caller participates; returns when every chunk has executed. *)
@@ -222,27 +271,14 @@ let run_chunks t ~chunks body =
             Obs.Histogram.observe h_imbalance ((mx -. mean) /. mean)
       | None -> ()
     in
-    if t.width = 1 || chunks = 1 then begin
-      (* inline: no pool machinery, exceptions propagate naturally. A
-         multi-chunk region on a width-capped jobs > 1 pool still takes the
-         busy guard, so nested-region misuse fails on a single-core box
-         exactly as it would on a multicore one. *)
-      let run () =
-        for c = 0 to chunks - 1 do
-          timed_chunk ?durations body c
-        done;
-        observe_imbalance ()
-      in
-      if t.jobs > 1 && chunks > 1 then begin
-        if not (Atomic.compare_and_set t.busy false true) then
-          invalid_arg "Kregret_parallel.Pool: nested parallel region";
-        Fun.protect ~finally:(fun () -> Atomic.set t.busy false) run
-      end
-      else run ()
-    end
-    else begin
-      if not (Atomic.compare_and_set t.busy false true) then
-        invalid_arg "Kregret_parallel.Pool: nested parallel region";
+    (* inline: no pool machinery, exceptions propagate naturally *)
+    let run_inline () =
+      for c = 0 to chunks - 1 do
+        timed_chunk ?durations body c
+      done;
+      observe_imbalance ()
+    in
+    let run_pooled () =
       let job =
         {
           body = timed_chunk ?durations body;
@@ -263,12 +299,21 @@ let run_chunks t ~chunks body =
         Condition.wait t.work_done t.mutex
       done;
       Mutex.unlock t.mutex;
-      Atomic.set t.busy false;
       (* completion happened-before this read (the mutex round above) *)
       observe_imbalance ();
       match job.failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()
+    in
+    if t.jobs = 1 || chunks = 1 then run_inline ()
+    else begin
+      (* A multi-chunk region on a jobs > 1 pool takes the nesting guard
+         even when width-capped to inline, so nested-region misuse fails
+         on a single-core box exactly as it would on a multicore one. *)
+      let ((_, pooled) as entry) = enter t ~want_workers:(t.width > 1) in
+      Fun.protect
+        ~finally:(fun () -> leave t entry)
+        (fun () -> if pooled then run_pooled () else run_inline ())
     end
   end
 

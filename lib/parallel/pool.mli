@@ -20,9 +20,13 @@
        calling domain, no pool machinery involved.}}
 
     {b Concurrency rules.} Parallel regions must not nest: calling
-    [parallel_for] / [map_reduce] from inside a running region raises
-    [Invalid_argument] (with [jobs = 1] the inline path permits it, since
-    it is just a nested loop). Bodies may read shared structures freely
+    [parallel_for] / [map_reduce] from inside a running region's body
+    raises [Invalid_argument] (with [jobs = 1] the inline path permits
+    it, since it is just a nested loop). Regions entered concurrently
+    from different threads are fine: the pool runs one at a time, and a
+    region that finds it held by another thread's region runs inline on
+    its own thread — with results bit-identical to the pooled run, by the
+    determinism contract. Bodies may read shared structures freely
     and write only to disjoint locations; the pool establishes the
     happens-before edges so the caller observes all writes when the
     region returns. Exceptions raised by a body are caught, the region

@@ -88,9 +88,8 @@ type t
       scores against the virtual corners, so a non-happy skyline point
       can still be the strict top-1 of some direction, leaving the happy
       set impossible to drive to rank 1.) [?candidates] overrides with
-      explicit row indices (the serving tier passes the shard-merged
-      skyline — bit-identical to the default by the shard-merge
-      invariant);
+      explicit row indices (the serving tier passes the ε-kernel's
+      skyline for approximate datasets);
     + a rank matrix [R(j, c)] = rank of candidate [c] under net
       direction [j] against the {e full} dataset, one sorted score array
       per direction, parallel over directions;

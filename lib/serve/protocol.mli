@@ -11,16 +11,11 @@
 
     {v
       {"op":"load","name":NAME,"path":PATH}   register + build a CSV dataset
-      {"op":"load","name":NAME,"path":PATH,"shards":S}
-                                              same, scatter-gathered over S
-                                              shards (answers stay identical;
-                                              the dataset becomes static)
       {"op":"load","name":NAME,"path":PATH,"approx":EPS}
                                               same, through the ε-kernel
                                               reduction (answers carry a
                                               certified regret bound; the
-                                              dataset becomes static);
-                                              composes with "shards"
+                                              dataset becomes static)
       {"op":"query","name":NAME,"k":K}        k-regret selection + its mrr
       {"op":"mrr","name":NAME,"k":K}          mrr only
       {"op":"rank_regret","name":NAME,"k":K}  rank-regret representatives:
@@ -46,9 +41,9 @@
     the last published snapshot. Inserted points must be pre-normalized
     (finite coordinates in [(0, 1]], dimension matching the dataset) —
     anything else is a [bad_point] error. Updates against a dataset loaded
-    with ["shards"] > 1 or ["approx"] are rejected with [static_dataset] —
-    neither the shard merge nor the kernel reduction has an incremental
-    repair.
+    with ["approx"] are rejected with [static_dataset] — the kernel
+    reduction has no incremental repair. Fields a verb does not name are
+    ignored.
 
     Every response carries ["ok"]; failures are structured —
     [{"ok":false,"error":{"code":CODE,"message":MSG}}], optionally with a
@@ -74,7 +69,6 @@ type request =
   | Load of {
       name : string;
       path : string;
-      shards : int option;
       approx : float option;
     }
   | Query of { name : string; k : int }

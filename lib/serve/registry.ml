@@ -2,6 +2,7 @@ module Vector = Kregret_geom.Vector
 module Dataset = Kregret_dataset.Dataset
 module Csv_io = Kregret_dataset.Csv_io
 module Dynamic = Kregret.Dynamic
+module Pipeline = Kregret_approx.Pipeline
 module Obs = Kregret_obs
 
 let c_loads =
@@ -35,11 +36,11 @@ let g_datasets =
 
 (* What queries read: an immutable answer backend plus the summary sizes,
    republished wholesale after every build and every applied update. The
-   live [Dynamic.t] itself is touched only by the worker thread; a
-   [Shard.t] is immutable from birth. *)
+   live [Dynamic.t] itself is touched only by the worker thread; an
+   [Approx] pipeline is immutable from birth. *)
 type backend =
-  | Solo of Dynamic.Snapshot.t
-  | Sharded of Shard.t
+  | Exact of Dynamic.Snapshot.t
+  | Approx of { pipeline : Pipeline.t; points : Vector.t array }
 
 type built = {
   backend : backend;
@@ -50,23 +51,24 @@ type built = {
 
 let backend_query b ~k =
   match b with
-  | Solo s -> Dynamic.Snapshot.query s ~k
-  | Sharded sh -> Shard.query sh ~k
+  | Exact s -> Dynamic.Snapshot.query s ~k
+  | Approx a -> Pipeline.query a.pipeline ~k
 
 let backend_mrr_at b ~k =
   match b with
-  | Solo s -> Dynamic.Snapshot.mrr_at s ~k
-  | Sharded sh -> Shard.mrr_at sh ~k
+  | Exact s -> Dynamic.Snapshot.mrr_at s ~k
+  | Approx a -> Pipeline.mrr_at a.pipeline ~k
 
-(* Rank-regret rides the same published surfaces: solo answers run the
+(* Rank-regret rides the same published surfaces: exact answers run the
    engine over the snapshot's live basis (so they track updates epoch for
    epoch, and a fresh unmutated dataset reproduces the offline engine bit
-   for bit — the basis is then the normalized rows in file order); sharded
-   answers delegate to the tier's retained inputs. The engine's greedy
-   prefix is max_size-stable, so per-k builds compose across cache keys. *)
+   for bit — the basis is then the normalized rows in file order); approx
+   answers take the kernel's skyline as candidates and rank over the full
+   input. The engine's greedy prefix is max_size-stable, so per-k builds
+   compose across cache keys. *)
 let backend_rank_regret b ~k =
   match b with
-  | Solo s ->
+  | Exact s ->
       let ids, rows = Dynamic.Snapshot.basis s in
       if Array.length rows = 0 then
         invalid_arg "rank_regret: dataset has no live points"
@@ -75,19 +77,24 @@ let backend_rank_regret b ~k =
         let sel, rank = Kregret_rrr.Rrr.query eng ~k in
         (List.map (fun r -> ids.(r)) sel, rank)
       end
-  | Sharded sh -> Shard.rank_regret sh ~k
+  | Approx a ->
+      let eng =
+        Kregret_rrr.Rrr.build ~max_size:k ~candidates:a.pipeline.Pipeline.sky_ids
+          a.points
+      in
+      Kregret_rrr.Rrr.query eng ~k
 
-(* sharded datasets are static, so epoch 0 forever is honest — nothing a
+(* approx datasets are static, so epoch 0 forever is honest — nothing a
    cache keyed on it could miss *)
-let backend_epoch = function Solo s -> Dynamic.Snapshot.epoch s | Sharded _ -> 0
+let backend_epoch = function Exact s -> Dynamic.Snapshot.epoch s | Approx _ -> 0
 
 let backend_live = function
-  | Solo s -> Dynamic.Snapshot.live s
-  | Sharded sh -> Shard.n sh
+  | Exact s -> Dynamic.Snapshot.live s
+  | Approx a -> Array.length a.points
 
 let backend_stored_length = function
-  | Solo s -> Dynamic.Snapshot.stored_length s
-  | Sharded sh -> Shard.stored_length sh
+  | Exact s -> Dynamic.Snapshot.stored_length s
+  | Approx a -> Pipeline.stored_length a.pipeline
 
 type status = Building | Ready of built | Failed of string
 
@@ -98,7 +105,6 @@ type info = {
   stat : Fingerprint.stat_sig;
   n : int;
   d : int;
-  shards : int;
   approx : float;
   mutated : bool;
   status : status;
@@ -121,10 +127,9 @@ type entry = {
   e_path : string;
   e_fingerprint : string;
   mutable e_stat : Fingerprint.stat_sig;  (* of the bytes behind e_fingerprint *)
-  e_shards : int;  (* 1 = solo; >1 = scatter-gather, static *)
   e_approx : float;  (* 0. = exact; >0. = ε-kernel tier, static *)
   points : Vector.t array;  (* normalized rows, the initial id space *)
-  mutable e_dyn : Dynamic.t option;  (* worker-owned once Ready (solo only) *)
+  mutable e_dyn : Dynamic.t option;  (* worker-owned once Ready (exact only) *)
   mutable e_mutated : bool;  (* diverged from the CSV via updates *)
   mutable e_status : status;
 }
@@ -160,51 +165,42 @@ let snapshot e =
     stat = e.e_stat;
     n = Array.length e.points;
     d = (if Array.length e.points = 0 then 0 else Vector.dim e.points.(0));
-    shards = e.e_shards;
     approx = e.e_approx;
     mutated = e.e_mutated;
     status = e.e_status;
   }
 
-(* shard tiers and ε-kernel tiers are both static materializations with
-   no incremental repair; updates against them are rejected with the
-   [static_dataset] wire error *)
-let static_reason ~shards ~approx name =
-  if shards > 1 then
-    Some
-      (Printf.sprintf
-         "dataset %S is sharded (scatter-gather) and static; re-load it \
-          without \"shards\" to update it"
-         name)
-  else if approx > 0. then
-    Some
-      (Printf.sprintf
-         "dataset %S is an ε-kernel approximation and static; re-load it \
-          without \"approx\" to update it"
-         name)
-  else None
+(* the ε-kernel tier is a static materialization with no incremental
+   repair; updates against it are rejected with the [static_dataset] wire
+   error *)
+let static_error name =
+  Error
+    ( "static_dataset",
+      Printf.sprintf
+        "dataset %S is an ε-kernel approximation and static; re-load it \
+         without \"approx\" to update it"
+        name )
 
-(* The full offline pipeline of the paper. Solo: materialized as a
-   [Dynamic.t] so later updates repair incrementally. Sharded: the static
-   scatter-gather tier, no [Dynamic] behind it. Runs on the build thread;
+(* The full offline pipeline of the paper. Exact: materialized as a
+   [Dynamic.t] so later updates repair incrementally. Approx: the static
+   ε-kernel pipeline, no [Dynamic] behind it. Runs on the build thread;
    the hot loops inside use the global domain pool. *)
-let build ~max_length ~shards ~approx points =
+let build ~max_length ~approx points =
   let t0 = Unix.gettimeofday () in
   try
     Obs.Span.with_ "serve.build" (fun () ->
         let dyn, backend, n_sky, n_happy =
-          if shards > 1 || approx > 0. then begin
-            let sh =
-              Shard.create ?max_length
-                ?approx:(if approx > 0. then Some approx else None)
-                ~shards points
-            in
-            (None, Sharded sh, Shard.n_sky sh, Shard.n_happy sh)
+          if approx > 0. then begin
+            let pipeline = Pipeline.run ?max_length ~eps:approx points in
+            ( None,
+              Approx { pipeline; points },
+              Array.length pipeline.Pipeline.sky_ids,
+              Array.length pipeline.Pipeline.happy_ids )
           end
           else begin
             let dyn = Dynamic.create ?max_length points in
             ( Some dyn,
-              Solo (Dynamic.snapshot dyn),
+              Exact (Dynamic.snapshot dyn),
               Dynamic.sky_size dyn,
               Dynamic.happy_size dyn )
           end
@@ -263,7 +259,7 @@ let apply_update dyn op =
 
 let publish_built dyn ~build_seconds =
   {
-    backend = Solo (Dynamic.snapshot dyn);
+    backend = Exact (Dynamic.snapshot dyn);
     n_sky = Dynamic.sky_size dyn;
     n_happy = Dynamic.happy_size dyn;
     build_seconds;
@@ -280,21 +276,16 @@ let worker_loop t =
           | Some e
             when String.equal e.e_fingerprint fp
                  && (match e.e_status with Building -> true | _ -> false) ->
-              let points = e.points
-              and shards = e.e_shards
-              and approx = e.e_approx in
+              let points = e.points and approx = e.e_approx in
               Mutex.unlock t.mutex;
-              let dyn, status =
-                build ~max_length:t.max_length ~shards ~approx points
-              in
+              let dyn, status = build ~max_length:t.max_length ~approx points in
               Mutex.lock t.mutex;
               (* the entry may have been evicted or replaced while we built —
-                 including a same-bytes re-load at a different shard count or
-                 ε, whose own Build job is still queued *)
+                 including a same-bytes re-load at a different ε, whose own
+                 Build job is still queued *)
               (match Hashtbl.find_opt t.entries name with
               | Some e'
                 when String.equal e'.e_fingerprint fp
-                     && e'.e_shards = shards
                      && Float.equal e'.e_approx approx ->
                   e'.e_dyn <- dyn;
                   e'.e_status <- status
@@ -309,17 +300,10 @@ let worker_loop t =
             Condition.broadcast t.cond
           in
           match Hashtbl.find_opt t.entries u_name with
-          | Some { e_shards; e_approx; _ }
-            when static_reason ~shards:e_shards ~approx:e_approx u_name
-                 <> None ->
+          | Some { e_approx; _ } when e_approx > 0. ->
               (* normally rejected at enqueue time; kept for a load that
                  re-registered the name as static while the job sat queued *)
-              reply
-                (Error
-                   ( "static_dataset",
-                     Option.get
-                       (static_reason ~shards:e_shards ~approx:e_approx u_name)
-                   ))
+              reply (static_error u_name)
           | Some e
             when String.equal e.e_fingerprint u_fingerprint
                  && (match e.e_status with Ready _ -> true | _ -> false) -> (
@@ -407,8 +391,7 @@ let shutdown t =
   in
   match worker with Some w -> Thread.join w | None -> ()
 
-let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
-  let shards = max 1 shards in
+let load ?(approx = 0.) t ~name ~path =
   let approx = if approx > 0. then approx else 0. in
   (* one read serves both the fingerprint and the parser, so the hash always
      matches the points actually loaded (hashing and re-reading the file
@@ -449,7 +432,6 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                 match Hashtbl.find_opt t.entries name with
                 | Some ({ e_status = Failed _; _ } as e)
                   when String.equal e.e_fingerprint fp
-                       && e.e_shards = shards
                        && Float.equal e.e_approx approx ->
                     (* same bytes, but the build failed (possibly
                        transiently): an explicit re-load retries instead of
@@ -463,13 +445,12 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                     Ok (snapshot e)
                 | Some e
                   when String.equal e.e_fingerprint fp
-                       && e.e_shards = shards
                        && Float.equal e.e_approx approx ->
-                    (* unchanged bytes at the same shard count and ε: keep
-                       the build (or its result) — concurrent loads of the
-                       same file are idempotent and enqueue no duplicate
-                       job. A different shard count or ε is a different
-                       materialization and falls through to a rebuild. The
+                    (* unchanged bytes at the same ε: keep the build (or
+                       its result) — concurrent loads of the same file are
+                       idempotent and enqueue no duplicate job. A different
+                       ε is a different materialization and falls through
+                       to a rebuild. The
                        signature still refreshes: the bytes were re-verified
                        just now, so a mere touch stops forcing re-hashes on
                        every query. *)
@@ -482,7 +463,6 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                         e_path = path;
                         e_fingerprint = fp;
                         e_stat = stat_sig;
-                        e_shards = shards;
                         e_approx = approx;
                         points = ds.Dataset.points;
                         e_dyn = None;
@@ -507,13 +487,7 @@ let update t ~name op =
           | None ->
               Error
                 ("not_found", Printf.sprintf "dataset %S is not loaded" name)
-          | Some { e_shards; e_approx; _ }
-            when static_reason ~shards:e_shards ~approx:e_approx name <> None
-            ->
-              Error
-                ( "static_dataset",
-                  Option.get
-                    (static_reason ~shards:e_shards ~approx:e_approx name) )
+          | Some { e_approx; _ } when e_approx > 0. -> static_error name
           | Some { e_status = Building; _ } ->
               Error
                 ( "building",

@@ -39,13 +39,18 @@
     name picks up the new file contents and rebuilds (dropping any
     updates). *)
 
-(** The immutable answer state behind a [Ready] dataset. [Solo] is the
+(** The immutable answer state behind a [Ready] dataset. [Exact] is the
     incremental path: a {!Kregret.Dynamic.Snapshot} republished after every
-    applied update. [Sharded] is the static scatter-gather tier
-    ({!Shard}) — bit-identical answers, no updates. *)
+    applied update. [Approx] is the static ε-kernel tier: the offline
+    {!Kregret_approx.Pipeline} over the loaded rows (kept in [points] as
+    the rank-regret universe) — answers bit-identical to
+    {!Kregret_approx.Pipeline.run}, no updates. *)
 type backend =
-  | Solo of Kregret.Dynamic.Snapshot.t
-  | Sharded of Shard.t
+  | Exact of Kregret.Dynamic.Snapshot.t
+  | Approx of {
+      pipeline : Kregret_approx.Pipeline.t;
+      points : Kregret_geom.Vector.t array;
+    }
 
 type built = {
   backend : backend;
@@ -55,19 +60,20 @@ type built = {
   build_seconds : float;  (** initial build cost (not update repair time) *)
 }
 
-(** Uniform reads over the two backends. Epoch of a [Sharded] backend is
-    always 0 — sharded datasets never change, so nothing a cache keyed on
+(** Uniform reads over the two backends. Epoch of an [Approx] backend is
+    always 0 — approx datasets never change, so nothing a cache keyed on
     it could miss. *)
 
 val backend_query : backend -> k:int -> int list * float
 val backend_mrr_at : backend -> k:int -> float
 
 (** [backend_rank_regret b ~k] — the rank-regret representative answer of
-    the published backend: solo backends run {!Kregret_rrr.Rrr} over the
+    the published backend: exact backends run {!Kregret_rrr.Rrr} over the
     snapshot's live basis (answers track updates epoch for epoch; a fresh
-    unmutated dataset reproduces the offline engine bit for bit), sharded
-    backends use {!Shard.rank_regret}. Raises [Invalid_argument] when no
-    live points remain. *)
+    unmutated dataset reproduces the offline engine bit for bit); approx
+    backends run it with the kernel's skyline
+    ([pipeline.sky_ids]) as candidates over the full loaded rows. Raises
+    [Invalid_argument] when no live points remain. *)
 val backend_rank_regret :
   backend -> k:int -> int list * Kregret_rrr.Rrr.rank
 val backend_epoch : backend -> int
@@ -85,10 +91,9 @@ type info = {
           read from — the cheap per-query freshness witness *)
   n : int;  (** rows loaded from the CSV (not updated by inserts/deletes) *)
   d : int;
-  shards : int;  (** 1 = solo; >1 = scatter-gather (static) *)
   approx : float;
       (** ε of the ε-kernel tier; [0.] = exact. Approximate datasets are
-          static, like sharded ones. *)
+          static. *)
   mutated : bool;  (** diverged from the CSV via {!update} *)
   status : status;
 }
@@ -124,18 +129,15 @@ val create : ?max_length:int -> unit -> t
 val shutdown : t -> unit
 
 (** [load t ~name ~path] registers (or re-registers, when the
-    fingerprint, shard count or ε changed) a dataset and enqueues its
-    build; returns a snapshot. [shards > 1] builds the static
-    scatter-gather tier ({!Shard}) instead of a [Dynamic] — same answers,
-    no updates. [approx > 0.] builds the static ε-kernel tier (the shard
-    tier with per-chunk kernels — see {!Shard}); exact and approximate
-    materializations of the same bytes are {e distinct} entries. Both
-    the shard count and ε are part of the entry's identity: re-loading an
-    unchanged file at the same [(shards, approx)] joins the existing
-    entry (except when its build [Failed], which retries); a different
-    count or ε rebuilds. [Error] on unreadable or malformed CSV. *)
+    fingerprint or ε changed) a dataset and enqueues its build; returns a
+    snapshot. [approx > 0.] builds the static ε-kernel tier
+    ({!Kregret_approx.Pipeline}) instead of a [Dynamic]; exact and
+    approximate materializations of the same bytes are {e distinct}
+    entries. ε is part of the entry's identity: re-loading an unchanged
+    file at the same [approx] joins the existing entry (except when its
+    build [Failed], which retries); a different ε rebuilds. [Error] on
+    unreadable or malformed CSV. *)
 val load :
-  ?shards:int ->
   ?approx:float ->
   t ->
   name:string ->
@@ -143,10 +145,9 @@ val load :
   (info, string) result
 
 (** [update t ~name op] — blocking insert/delete/flush against a [Ready]
-    solo dataset. Points must be pre-normalized (finite, in [(0, 1]],
+    exact dataset. Points must be pre-normalized (finite, in [(0, 1]],
     matching dimension): anything else is [Error ("bad_point", _)].
-    Sharded and approximate datasets answer
-    [Error ("static_dataset", _)]. *)
+    Approximate datasets answer [Error ("static_dataset", _)]. *)
 val update : t -> name:string -> update_op -> update_reply
 
 val find : t -> string -> info option

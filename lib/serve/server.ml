@@ -15,17 +15,15 @@ type config = {
   retry_after : float;
   max_length : int option;
   workers : int;
-  shards : int;
   approx : float;  (* server-wide default ε for [load]; 0. = exact *)
 }
 
 let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
-    ?(retry_after = 0.05) ?max_length ?(workers = 4) ?(shards = 1)
-    ?(approx = 0.) ?(listeners = []) ?socket_path () =
+    ?(retry_after = 0.05) ?max_length ?(workers = 4) ?(approx = 0.)
+    ?(listeners = []) ?socket_path () =
   if cache_capacity < 0 then invalid_arg "Server.config: cache_capacity < 0";
   if max_line < 1 then invalid_arg "Server.config: max_line < 1";
   if workers < 1 then invalid_arg "Server.config: workers < 1";
-  if shards < 1 then invalid_arg "Server.config: shards < 1";
   if (not (Float.is_finite approx)) || approx < 0. || approx > 1. then
     invalid_arg "Server.config: approx must be in [0, 1]";
   let listeners =
@@ -41,7 +39,6 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
     retry_after;
     max_length;
     workers;
-    shards;
     approx;
   }
 
@@ -53,15 +50,15 @@ type cached = {
   c_rank : (int * int * bool) option;  (* rank_lo, rank_hi, exact *)
 }
 
-(* cache/batch key: (fingerprint, shards, approx, epoch, k, kind). The
-   epoch is the dataset's answer version, so an insert/delete invalidates
-   by key churn — stale rows age out of the LRU with no explicit flush.
-   The shard count and ε are part of the key because the same CSV loaded
-   solo, sharded, exact or approximate shares a fingerprint while
-   materializing independently: without them the registrations would
-   share (and cross-fill) cache rows — approx and exact answers must
-   never collide (the PR 4 cross-k lesson, one key dimension later). *)
-type key = string * int * float * int * int * string
+(* cache/batch key: (fingerprint, approx, epoch, k, kind). The epoch is
+   the dataset's answer version, so an insert/delete invalidates by key
+   churn — stale rows age out of the LRU with no explicit flush. ε is part
+   of the key because the same CSV loaded exact or approximate shares a
+   fingerprint while materializing independently: without it the two
+   registrations would share (and cross-fill) cache rows — approx and
+   exact answers must never collide (the cross-k lesson, one key
+   dimension later). *)
+type key = string * float * int * int * string
 
 type t = {
   cfg : config;
@@ -121,7 +118,6 @@ let dataset_json info =
       ("fingerprint", Json.Str info.Registry.fingerprint);
       ("n", Json.int info.Registry.n);
       ("d", Json.int info.Registry.d);
-      ("shards", Json.int info.Registry.shards);
       ("approx", Json.Num info.Registry.approx);
       ("status", Json.Str (status_str info.Registry.status));
     ]
@@ -144,12 +140,10 @@ let dataset_json info =
   in
   Json.Obj (base @ extra)
 
-let handle_load t ~name ~path ~shards ~approx =
-  (* the wire fields win; otherwise the server-wide [--shards]/[--approx]
-     defaults *)
-  let shards = match shards with Some s -> s | None -> t.cfg.shards in
+let handle_load t ~name ~path ~approx =
+  (* the wire field wins; otherwise the server-wide [--approx] default *)
   let approx = match approx with Some a -> a | None -> t.cfg.approx in
-  match Registry.load ~shards ~approx t.reg ~name ~path with
+  match Registry.load ~approx t.reg ~name ~path with
   | Error m -> error t (Protocol.err ~code:"load_failed" m)
   | Ok info ->
       Protocol.ok_response
@@ -160,7 +154,6 @@ let handle_load t ~name ~path ~shards ~approx =
           ("fingerprint", Json.Str info.Registry.fingerprint);
           ("n", Json.int info.Registry.n);
           ("d", Json.int info.Registry.d);
-          ("shards", Json.int info.Registry.shards);
           ("approx", Json.Num info.Registry.approx);
         ]
 
@@ -192,7 +185,6 @@ let handle_query t ~name ~k ~kind =
               let backend = b.Registry.backend in
               let key =
                 ( info.Registry.fingerprint,
-                  info.Registry.shards,
                   info.Registry.approx,
                   Registry.backend_epoch backend,
                   k,
@@ -244,7 +236,7 @@ let handle_query t ~name ~k ~kind =
 (* rank_regret: the same cache/batch skeleton as [handle_query], with the
    sibling engine behind it. The key's kind dimension ("rank_regret" vs
    "query"/"mrr") keeps the two query families from sharing rows at equal
-   (fingerprint, shards, approx, epoch, k) — a rank certificate and a
+   (fingerprint, approx, epoch, k) — a rank certificate and a
    regret selection at the same k are different answers. *)
 let handle_rank_regret t ~name ~k =
   match Registry.find t.reg name with
@@ -269,7 +261,6 @@ let handle_rank_regret t ~name ~k =
               let backend = b.Registry.backend in
               let key =
                 ( info.Registry.fingerprint,
-                  info.Registry.shards,
                   info.Registry.approx,
                   Registry.backend_epoch backend,
                   k,
@@ -362,7 +353,7 @@ let handle_evict t ~name =
       | Some fp ->
           with_lock t.cache_mutex (fun () ->
               List.iter
-                (fun ((kfp, _, _, _, _, _) as key) ->
+                (fun ((kfp, _, _, _, _) as key) ->
                   if String.equal kfp fp then ignore (Lru.remove t.cache key))
                 (Lru.keys_mru t.cache))
       | None -> ());
@@ -434,8 +425,8 @@ let handle_request t line =
         | Protocol.Shutdown ->
             signal_stop t;
             (Protocol.ok_response [ ("op", Json.Str "shutdown") ], true)
-        | Protocol.Load { name; path; shards; approx } ->
-            (handle_load t ~name ~path ~shards ~approx, false)
+        | Protocol.Load { name; path; approx } ->
+            (handle_load t ~name ~path ~approx, false)
         | Protocol.Query { name; k } ->
             (handle_query t ~name ~k ~kind:"query", false)
         | Protocol.Mrr { name; k } -> (handle_query t ~name ~k ~kind:"mrr", false)

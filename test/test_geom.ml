@@ -1,7 +1,7 @@
 open Testutil
 module Vector = Kregret_geom.Vector
-module Hyperplane = Kregret_geom.Hyperplane
-module Orthotope = Kregret_geom.Orthotope
+module Hyperplane = Kregret_check.Hyperplane
+module Orthotope = Kregret_check.Orthotope
 
 let test_sides () =
   let h = Hyperplane.make [| 1.; 1. |] 1. in

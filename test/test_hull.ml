@@ -2,7 +2,7 @@ open Testutil
 module Vector = Kregret_geom.Vector
 module Dd = Kregret_hull.Dd
 module Dual_polytope = Kregret_hull.Dual_polytope
-module Chain2d = Kregret_hull.Chain2d
+module Chain2d = Kregret_check.Chain2d
 module Extreme = Kregret_hull.Extreme
 module Regret_lp = Kregret_lp.Regret_lp
 

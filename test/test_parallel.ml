@@ -96,6 +96,57 @@ let test_nested_use_rejected () =
       ignore (Atomic.fetch_and_add count 1));
   Alcotest.(check int) "pool usable after rejection" 16 (Atomic.get count)
 
+(* Two systhreads drive regions through one jobs=2 pool at once. A region
+   that finds the pool held by the other thread's region runs inline, so
+   neither thread sees "nested parallel region", and every fold is
+   bit-identical to the jobs=1 pool (a non-associative float sum makes a
+   changed chunking or fold order visible). *)
+let test_concurrent_callers_run_inline () =
+  let region pool seed =
+    Pool.map_reduce ~pool ~chunk_size:7 ~lo:0 ~hi:500
+      ~map:(fun a b ->
+        let acc = ref 0. in
+        for i = a to b - 1 do
+          acc := !acc +. sin (float_of_int ((i * 31) + seed))
+        done;
+        !acc)
+      ~reduce:( +. ) 0.
+  in
+  let rounds = 300 in
+  let run pool seed = Array.init rounds (fun r -> region pool (seed + r)) in
+  let reference =
+    let p1 = Pool.create ~jobs:1 in
+    Fun.protect ~finally:(fun () -> Pool.shutdown p1) @@ fun () ->
+    [| run p1 0; run p1 1000 |]
+  in
+  let pool = Pool.create ~jobs:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let results = Array.make 2 (Error "not run") in
+  let threads =
+    List.init 2 (fun t ->
+        Thread.create
+          (fun () ->
+            results.(t) <-
+              (try Ok (run pool (t * 1000))
+               with e -> Error (Printexc.to_string e)))
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun t r ->
+      match r with
+      | Error m -> Alcotest.failf "thread %d: %s" t m
+      | Ok got ->
+          Array.iteri
+            (fun i v ->
+              if not (Int64.equal (Int64.bits_of_float v)
+                        (Int64.bits_of_float reference.(t).(i)))
+              then
+                Alcotest.failf "thread %d region %d: %.17g, jobs=1 gives %.17g"
+                  t i v reference.(t).(i))
+            got)
+    results
+
 let test_shutdown_rejects_use () =
   let pool = Pool.create ~jobs:2 in
   Pool.shutdown pool;
@@ -306,6 +357,8 @@ let suite =
       test_exception_propagation;
     Alcotest.test_case "nested regions are rejected" `Quick
       test_nested_use_rejected;
+    Alcotest.test_case "concurrent callers run inline, bit-identical" `Quick
+      test_concurrent_callers_run_inline;
     Alcotest.test_case "use after shutdown is rejected" `Quick
       test_shutdown_rejects_use;
     Alcotest.test_case "Dd.create refuses dim > 16" `Quick test_dd_dim_guard;

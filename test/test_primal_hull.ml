@@ -1,6 +1,6 @@
 open Testutil
 module Vector = Kregret_geom.Vector
-module Bb = Kregret_hull.Beneath_beyond
+module Bb = Kregret_check.Beneath_beyond
 module Model = Kregret_lp.Model
 
 (* independent membership oracle: p in conv(points) iff the LP

@@ -11,9 +11,8 @@
    - answers are bit-identical across pool widths and across max_size
      (greedy prefix stability);
    - the served rank_regret verb is bit-identical to the offline engine
-     over a live socket (solo and sharded), and the result cache never
-     hands one verb kind's row to another verb at equal
-     (fingerprint, shards, approx, epoch, k). *)
+     over a live socket, and the result cache never hands one verb kind's
+     row to another verb at equal (fingerprint, approx, epoch, k). *)
 
 module Vector = Kregret_geom.Vector
 module Dataset = Kregret_dataset.Dataset
@@ -303,11 +302,11 @@ let or_fail what = function
   | Ok v -> v
   | Error m -> Alcotest.failf "%s: %s" what m
 
-let load_and_wait ?shards c ~name ~path =
-  ignore (or_fail "load" (Client.load ?shards c ~name ~path));
+let load_and_wait c ~name ~path =
+  ignore (or_fail "load" (Client.load c ~name ~path));
   or_fail "wait_ready" (Client.wait_ready c ~name)
 
-(* the registry's solo backend on a fresh dataset: normalized rows in
+(* the registry's exact backend on a fresh dataset: normalized rows in
    file order — the offline engine over them is the wire reference *)
 let offline_engine path ~k =
   let ds = Dataset.normalize (Csv_io.load path) in
@@ -327,7 +326,6 @@ let test_serve_bit_identical () =
   with_server ~cache_capacity:64 (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"solo" ~path;
-          load_and_wait ~shards:3 c ~name:"sharded" ~path;
           for k = 1 to k_hi do
             (* solo: cold, then the cached row is the same bits *)
             let a = or_fail "rank_regret" (Client.rank_regret c ~name:"solo" ~k) in
@@ -337,13 +335,7 @@ let test_serve_bit_identical () =
             in
             Alcotest.(check bool)
               (Printf.sprintf "solo k=%d warm identical" k)
-              true (a = a');
-            (* sharded: the scatter-gather tier answers with the same bits *)
-            let b =
-              or_fail "rank_regret sharded"
-                (Client.rank_regret c ~name:"sharded" ~k)
-            in
-            check_wire ~what:(Printf.sprintf "sharded k=%d" k) eng ~k b
+              true (a = a')
           done))
 
 (* raw-frame probe: issue one verb and read the response's cached flag *)
@@ -361,9 +353,9 @@ let probe c ~op ~name ~k =
   | Some b -> (j, b)
   | None -> Alcotest.failf "%s: response has no cached flag" op
 
-(* The cache-key regression (the PR 4 cross-k lesson, one key dimension
+(* The cache-key regression (the cross-k lesson, one key dimension
    later): for every ordered pair of verbs, equal
-   (fingerprint, shards, approx, epoch, k) with a different kind must MISS.
+   (fingerprint, approx, epoch, k) with a different kind must MISS.
    Verbs run against one live server; evict purges the fingerprint's rows
    between pairs, so each pair starts from a cold cache. *)
 let test_cache_kind_isolation () =
@@ -386,7 +378,7 @@ let test_cache_kind_isolation () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s cold after load" a)
                 false a_cold;
-              (* same (fingerprint, shards, approx, epoch, k), different
+              (* same (fingerprint, approx, epoch, k), different
                  kind: the other verb must not see a's row *)
               let jb, b_cold = probe c ~op:b ~name ~k in
               Alcotest.(check bool)
@@ -443,7 +435,8 @@ let suite =
     Alcotest.test_case "pool-width bit-identity" `Quick
       test_pool_width_bit_identity;
     Alcotest.test_case "greedy prefix stability" `Quick test_prefix_stability;
-    Alcotest.test_case "serve: wire bit-identity (solo + sharded)" `Quick
+    Alcotest.test_case "serve: wire bit-identity (solo dataset, cold and \
+                        cached)" `Quick
       test_serve_bit_identical;
     Alcotest.test_case "serve: cache kind isolation" `Quick
       test_cache_kind_isolation;

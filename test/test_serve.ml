@@ -296,8 +296,10 @@ let test_list_stats_evict () =
               if Json.member field d0 = None then
                 Alcotest.failf "list entry missing %s: %s" field
                   (Json.to_string d0))
-            [ "name"; "path"; "fingerprint"; "n"; "d"; "shards"; "sky";
+            [ "name"; "path"; "fingerprint"; "n"; "d"; "approx"; "sky";
               "happy"; "materialized"; "build_seconds" ];
+          Alcotest.(check bool) "list entry has no shards field" true
+            (Json.member "shards" d0 = None);
           (* stats: counters move *)
           let s = or_fail "stats" (Client.stats c) in
           let geti name =
@@ -670,118 +672,6 @@ let test_transports_byte_identical () =
         "repeat query cached" (Some true)
         (cached_of (List.nth over_uds 2)))
 
-(* ---- scatter-gather shard tier -------------------------------------------- *)
-
-(* over the wire: a sharded load answers bit-identically to the solo load
-   of the same CSV at every k, and reports itself static *)
-let test_shard_vs_monolithic_wire () =
-  let path = write_csv ~name:"sh" ~n:150 ~d:3 ~seed:29 in
-  let dir = direct_of_csv path in
-  let n_happy = Array.length dir.dir_happy in
-  with_server (fun ~socket_path _server ->
-      with_client ~socket_path (fun c ->
-          ignore (or_fail "load solo" (Client.load c ~name:"solo" ~path));
-          ignore
-            (or_fail "load sharded" (Client.load ~shards:4 c ~name:"quads" ~path));
-          or_fail "wait solo" (Client.wait_ready c ~name:"solo");
-          or_fail "wait sharded" (Client.wait_ready c ~name:"quads");
-          for k = 1 to n_happy do
-            let sel_s, mrr_s =
-              or_fail "solo query" (Client.query c ~name:"solo" ~k)
-            in
-            let sel_q, mrr_q =
-              or_fail "sharded query" (Client.query c ~name:"quads" ~k)
-            in
-            Alcotest.(check (list int))
-              (Printf.sprintf "k=%d sharded selection == solo" k)
-              sel_s sel_q;
-            Alcotest.check exact_float
-              (Printf.sprintf "k=%d sharded mrr bit-identical" k)
-              mrr_s mrr_q;
-            (* and both match the offline pipeline *)
-            let sel_ref, mrr_ref = direct_answer dir ~k in
-            Alcotest.(check (list int))
-              (Printf.sprintf "k=%d sharded == offline StoredList" k)
-              sel_ref sel_q;
-            Alcotest.check exact_float
-              (Printf.sprintf "k=%d sharded mrr == offline" k)
-              mrr_ref mrr_q
-          done;
-          (* a sharded dataset is static: every update verb is rejected with
-             a structured code, and the dataset keeps serving afterwards *)
-          (match Client.insert c ~name:"quads" ~point:[| 0.9; 0.8; 0.7 |] with
-          | Ok _ -> Alcotest.fail "insert into a sharded dataset must fail"
-          | Error m ->
-              Alcotest.(check bool)
-                (Printf.sprintf "static_dataset on insert (got %s)" m)
-                true
-                (Testutil.contains m "static_dataset"));
-          (match Client.delete c ~name:"quads" ~id:0 with
-          | Ok _ -> Alcotest.fail "delete on a sharded dataset must fail"
-          | Error m ->
-              Alcotest.(check bool) "static_dataset on delete" true
-                (Testutil.contains m "static_dataset"));
-          (match Client.flush c ~name:"quads" with
-          | Ok _ -> Alcotest.fail "flush on a sharded dataset must fail"
-          | Error m ->
-              Alcotest.(check bool) "static_dataset on flush" true
-                (Testutil.contains m "static_dataset"));
-          ignore (or_fail "query after rejects" (Client.query c ~name:"quads" ~k:3));
-          (* list reports the shard count on both entries *)
-          let j = or_fail "list" (Client.list_datasets c) in
-          let ds =
-            Option.bind (Json.member "datasets" j) Json.to_list
-            |> Option.value ~default:[]
-          in
-          let shards_of name =
-            List.find_opt
-              (fun d -> Option.bind (Json.member "name" d) Json.to_str = Some name)
-              ds
-            |> Fun.flip Option.bind (Json.member "shards")
-            |> Fun.flip Option.bind Json.to_int
-          in
-          Alcotest.(check (option int)) "solo shards" (Some 1) (shards_of "solo");
-          Alcotest.(check (option int)) "sharded shards" (Some 4)
-            (shards_of "quads")))
-
-(* the coordinator merge itself: for every shard count and every pool
-   width, Shard.create answers row-for-row what the monolithic pipeline
-   answers. This is the oracle form of the DESIGN §6 exactness argument. *)
-let test_shard_merge_across_jobs () =
-  let path = write_csv ~name:"merge" ~n:220 ~d:4 ~seed:71 in
-  let points = (Dataset.normalize (Csv_io.load path)).Dataset.points in
-  let dir = direct_of_csv path in
-  let n_happy = Array.length dir.dir_happy in
-  let jobs0 = Kregret_parallel.Pool.get_jobs () in
-  Fun.protect
-    ~finally:(fun () -> Kregret_parallel.Pool.set_jobs jobs0)
-    (fun () ->
-      List.iter
-        (fun jobs ->
-          Kregret_parallel.Pool.set_jobs jobs;
-          List.iter
-            (fun shards ->
-              let sh = Serve.Shard.create ~shards points in
-              Alcotest.(check int)
-                (Printf.sprintf "jobs=%d shards=%d union skyline size" jobs
-                   shards)
-                (Array.length (Skyline.naive points))
-                (Serve.Shard.n_sky sh);
-              for k = 1 to n_happy do
-                let sel_ref, mrr_ref = direct_answer dir ~k in
-                let sel, mrr = Serve.Shard.query sh ~k in
-                Alcotest.(check (list int))
-                  (Printf.sprintf "jobs=%d shards=%d k=%d merged selection"
-                     jobs shards k)
-                  sel_ref sel;
-                Alcotest.check exact_float
-                  (Printf.sprintf "jobs=%d shards=%d k=%d merged mrr" jobs
-                     shards k)
-                  mrr_ref mrr
-              done)
-            [ 1; 2; 3; 4; 7 ])
-        [ 1; 2; 4 ])
-
 (* ---- shutdown under load cannot hang -------------------------------------- *)
 
 let test_shutdown_under_load () =
@@ -908,6 +798,52 @@ let test_approx_load_end_to_end () =
               (Printf.sprintf "k=%d cached exact mrr uncollided" k)
               ref_e_mrr mrr_e
           done;
+          (* rank_regret on the approx dataset: candidates are the kernel's
+             skyline, the ranking universe is the full input — cold, then
+             from the cache, each k equal to the offline engine bit for bit *)
+          let wire_rank k =
+            let frame =
+              Json.to_string
+                (Json.Obj
+                   [
+                     ("op", Json.Str "rank_regret");
+                     ("name", Json.Str "apx");
+                     ("k", Json.int k);
+                   ])
+            in
+            let j = or_fail "approx rank_regret" (Client.request c frame) in
+            let get what f =
+              match Option.bind (Json.member what j) f with
+              | Some v -> v
+              | None ->
+                  Alcotest.failf "rank_regret reply has no %s: %s" what
+                    (Json.to_string j)
+            in
+            ( get "selection" (fun v ->
+                  Option.map (List.filter_map Json.to_int) (Json.to_list v)),
+              get "rank_lo" Json.to_int,
+              get "rank_hi" Json.to_int,
+              get "exact" Json.to_bool,
+              get "cached" Json.to_bool )
+          in
+          List.iter
+            (fun pass ->
+              for k = 1 to 6 do
+                let eng =
+                  Kregret_rrr.Rrr.build ~max_size:k
+                    ~candidates:p.Kregret_approx.Pipeline.sky_ids points
+                in
+                let sel_ref, r = Kregret_rrr.Rrr.query eng ~k in
+                let sel, lo, hi, exact, cached = wire_rank k in
+                let what = Printf.sprintf "%s k=%d approx rank_regret" pass k in
+                Alcotest.(check bool) (what ^ " cached") (pass = "cached") cached;
+                Alcotest.(check (list int)) (what ^ " selection") sel_ref sel;
+                Alcotest.(check (pair int int)) (what ^ " rank bounds")
+                  (r.Kregret_rrr.Rrr.lo, r.Kregret_rrr.Rrr.hi) (lo, hi);
+                Alcotest.(check bool) (what ^ " exact") r.Kregret_rrr.Rrr.exact
+                  exact
+              done)
+            [ "cold"; "cached" ];
           (* an approximate dataset is static *)
           (match Client.insert c ~name:"apx" ~point:[| 0.9; 0.8; 0.7 |] with
           | Ok _ -> Alcotest.fail "insert into an approx dataset must fail"
@@ -937,6 +873,54 @@ let test_approx_load_end_to_end () =
             (approx_of "exact");
           Alcotest.(check (option (float 0.))) "approx approx field" (Some eps)
             (approx_of "apx")))
+
+(* Four rank_regret cache misses with distinct k race on one dataset at
+   pool width 2: their engine builds enter parallel regions from different
+   server worker threads at once. A region that finds the pool busy with
+   another caller runs inline, so every request answers ok — and with the
+   offline engine's bits. *)
+let test_concurrent_rank_regret_misses () =
+  let path = write_csv ~name:"crr" ~n:800 ~d:4 ~seed:13 in
+  let points = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let ks = [ 3; 4; 5; 6 ] in
+  let jobs0 = Kregret_parallel.Pool.get_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Kregret_parallel.Pool.set_jobs jobs0)
+    (fun () ->
+      Kregret_parallel.Pool.set_jobs 2;
+      with_server ~workers:4 (fun ~socket_path _server ->
+          with_client ~socket_path (fun c -> load_and_wait c ~name:"crr" ~path);
+          let results = Array.make (List.length ks) (Error "not run") in
+          let go = Atomic.make false in
+          let threads =
+            List.mapi
+              (fun i k ->
+                Thread.create
+                  (fun () ->
+                    with_client ~socket_path (fun c ->
+                        while not (Atomic.get go) do
+                          Thread.yield ()
+                        done;
+                        results.(i) <- Client.rank_regret c ~name:"crr" ~k))
+                  ())
+              ks
+          in
+          Atomic.set go true;
+          List.iter Thread.join threads;
+          List.iteri
+            (fun i k ->
+              match results.(i) with
+              | Error m -> Alcotest.failf "k=%d concurrent rank_regret: %s" k m
+              | Ok (sel, lo, hi, exact) ->
+                  let eng = Kregret_rrr.Rrr.build ~max_size:k points in
+                  let sel_ref, r = Kregret_rrr.Rrr.query eng ~k in
+                  let what = Printf.sprintf "k=%d concurrent rank_regret" k in
+                  Alcotest.(check (list int)) (what ^ " selection") sel_ref sel;
+                  Alcotest.(check (pair int int)) (what ^ " rank bounds")
+                    (r.Kregret_rrr.Rrr.lo, r.Kregret_rrr.Rrr.hi) (lo, hi);
+                  Alcotest.(check bool) (what ^ " exact") r.Kregret_rrr.Rrr.exact
+                    exact)
+            ks))
 
 let suite =
   [
@@ -969,13 +953,12 @@ let suite =
       `Slow test_connection_churn;
     Alcotest.test_case "transports: UDS and TCP sessions are byte-identical"
       `Quick test_transports_byte_identical;
-    Alcotest.test_case "shards: wire answers match solo load bit-for-bit, \
-                        updates rejected" `Slow test_shard_vs_monolithic_wire;
-    Alcotest.test_case "shards: merge exact across shard counts and pool \
-                        widths" `Slow test_shard_merge_across_jobs;
     Alcotest.test_case "poller: shutdown under load cannot hang" `Quick
       test_shutdown_under_load;
     Alcotest.test_case "approx: served kernels bit-identical to offline, no \
                         exact/approx cache collisions" `Slow
       test_approx_load_end_to_end;
+    Alcotest.test_case "concurrency: simultaneous rank_regret misses all \
+                        answer at jobs=2" `Slow
+      test_concurrent_rank_regret_misses;
   ]
